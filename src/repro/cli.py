@@ -199,8 +199,9 @@ def cmd_dos(args) -> int:
     if distributed:
         from repro.dist.overlap import resolve_overlap
 
-        mode = "on" if resolve_overlap(args.overlap, args.workers) else "off"
-        print(f"distributed engine: {args.engine} ({args.workers} workers, "
+        ranks = len(weights) if weights else args.workers
+        mode = "on" if resolve_overlap(args.overlap, ranks) else "off"
+        print(f"distributed engine: {args.engine} ({ranks} workers, "
               f"overlap {mode})")
     if rebalance is not None:
         bits = [f"grid={rebalance.grid}",
@@ -565,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="communication/computation overlap for sim|mp "
                         "(task-mode pipelining); auto = on with >1 rank")
     p.add_argument("--weights", type=str, default=None,
-                   help="comma-separated per-rank partition weights "
-                        "(default: equal split)")
+                   help="comma-separated per-rank partition weights, one "
+                        "rank per weight (default: --workers equal blocks)")
     p.add_argument("--rebalance", type=str, default=None, metavar="MODE",
                    help="live skew rebalancing for --engine sim|mp: 'off', "
                         "'auto', or an imbalance threshold such as 0.4 "

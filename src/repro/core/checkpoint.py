@@ -20,14 +20,12 @@ import numpy as np
 
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend, get_backend
+from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _col_dots
 from repro.sparse.sell import SellMatrix
-from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import CheckpointError, FormatError
-from repro.util.precision import FP64, Precision, get_precision
+from repro.util.precision import Precision, get_precision
 
 _FORMAT_VERSION = 1
 
@@ -234,13 +232,15 @@ def checkpointed_eta(
     precision: Precision | str | None = None,
     progress=None,
     progress_every: int = 0,
-    threads: int | None = None,
+    threads: int | str | None = None,
     simd: str | None = None,
 ) -> np.ndarray:
     """Stage-2 eta computation with optional checkpoint/restart.
 
-    Identical results to :func:`repro.core.moments.compute_eta` with the
-    ``aug_spmmv`` engine (asserted by the tests). With
+    Runs the one blocked driver as a one-rank world
+    (:func:`repro.dist.kpm_parallel.solve_eta`), so the results are
+    bitwise those of :func:`repro.core.moments.compute_eta` with the
+    ``aug_spmmv`` engine and of a one-rank sim or mp run. With
     ``checkpoint_every = k > 0`` the state is saved to
     ``checkpoint_path`` after every k inner iterations; pass
     ``resume_from`` (a checkpoint object or path) to continue an
@@ -250,87 +250,29 @@ def checkpointed_eta(
     one backend can resume on another, matching to floating-point
     reduction-order tolerance.  ``metrics`` records per-kernel spans
     plus ``checkpoint_save`` / ``checkpoint_load`` I/O spans.
-    ``fault`` is an optional :class:`~repro.resil.FaultInjector` probed
-    at the top of every inner iteration (the in-process equivalent of
-    the multiprocess engine's injected crashes).  ``precision`` selects
-    the storage profile; checkpoints record it and a resume under a
-    different profile raises :class:`CheckpointError`.
+    ``fault`` is an optional rank-0 :class:`~repro.resil.FaultInjector`
+    whose plan is probed before the bootstrap (m=0) and at the top of
+    every inner iteration, exactly where the distributed engines probe
+    it.  ``precision`` selects the storage profile; checkpoints record
+    it and a resume under a different profile raises
+    :class:`CheckpointError`.
 
     ``progress`` is an optional streaming callback fired as
     ``progress(n_eta, eta_prefix)`` after every ``progress_every`` inner
-    iterations, where ``eta_prefix`` is a read-only view of the first
-    ``n_eta`` scalar products of every column — the serve layer's
-    partial-spectrum stream.  The callback runs on the compute path:
-    keep it cheap and never let it raise.
+    iterations, where ``eta_prefix`` holds the first ``n_eta`` scalar
+    products of every column — the serve layer's partial-spectrum
+    stream.  The callback runs on the compute path: keep it cheap and
+    never let it raise.
     """
-    if n_moments % 2 or n_moments < 2:
-        raise ValueError(f"n_moments must be even >= 2, got {n_moments}")
-    if checkpoint_every and checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
-    a, b = scale.a, scale.b
-    prec = get_precision(precision)
-    bk = get_backend(backend)
+    from repro.dist.kpm_parallel import solve_eta
 
-    if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec)
-        # storage-dtype copies: the resumed state streams exactly the
-        # bytes the interrupted run held, so the resume is bit-exact
-        v = ck.v.astype(prec.vector_dtype, copy=True)
-        w = ck.w.astype(prec.vector_dtype, copy=True)
-        eta = ck.eta.astype(DTYPE, copy=True)
-        first_m = ck.next_m
-        r = int(prec.logical_shape(v)[1])
-        plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-    elif prec.half_vectors:
-        # mirror compute_eta's half bootstrap: SpMMV in f16 storage, one
-        # fp32 recombination through the plan's decode scratch
-        if start_block.dtype == np.float16:
-            v = np.ascontiguousarray(start_block)
-        else:
-            v = prec.encode(start_block)
-        r = v.shape[1]
-        plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-        w = bk.spmmv(H, v, counters=counters, metrics=metrics)
-        vc, wc = plan.vc[: H.n_rows], plan.wc
-        prec.decode(v, out=vc)
-        prec.decode(w, out=wc)
-        wc -= b * vc
-        wc *= a
-        prec.encode(wc, out=w)
-        eta = np.empty((r, n_moments), dtype=DTYPE)
-        eta[:, 0], eta[:, 1] = _col_dots(vc, wc)
-        first_m = 1
-    else:
-        v = start_block.astype(prec.vector_dtype, copy=True)
-        w = bk.spmmv(H, v, counters=counters, metrics=metrics)
-        w -= b * v
-        w *= a
-        r = v.shape[1]
-        eta = np.empty((r, n_moments), dtype=DTYPE)
-        # same dot kernel as compute_eta's bootstrap: bitwise-identical
-        # moments whichever entry point ran the computation
-        eta[:, 0], eta[:, 1] = _col_dots(v, w)
-        first_m = 1
-        plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-
-    for m in range(first_m, n_moments // 2):
-        if fault is not None:
-            fault.at_iteration(m)
-        v, w = w, v
-        ee, eo = bk.aug_spmmv_step(H, v, w, a, b, plan=plan,
-                                   counters=counters, metrics=metrics)
-        eta[:, 2 * m] = ee
-        eta[:, 2 * m + 1] = eo
-        if progress is not None and progress_every > 0 \
-                and (m - first_m + 1) % progress_every == 0:
-            progress(2 * (m + 1), eta[:, : 2 * (m + 1)])
-        if checkpoint_every and (m - first_m + 1) % checkpoint_every == 0:
-            # after the step: w holds nu_{m+1}, v holds nu_m; the next
-            # iteration's swap expects exactly (v, w) in these roles
-            with metrics.span("checkpoint_save", phase="ckpt") as sp:
-                saved = KpmCheckpoint(
-                    v=v, w=w, eta=eta, next_m=m + 1,
-                    n_moments=n_moments, a=a, b=b, precision=prec.name,
-                ).save(checkpoint_path)
-                sp.note(file_bytes=saved.stat().st_size)
-    return eta
+    return solve_eta(
+        H, scale, n_moments, start_block,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from, counters=counters, backend=backend,
+        metrics=metrics,
+        fault_plan=None if fault is None else fault.plan,
+        attempt=1 if fault is None else fault.attempt,
+        precision=precision, progress=progress,
+        progress_every=progress_every, threads=threads, simd=simd,
+    )[0]

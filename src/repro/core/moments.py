@@ -36,7 +36,7 @@ from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, get_backend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _col_dots, vec_dots
+from repro.sparse.fused import vec_dots
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -58,6 +58,15 @@ def _check_moments(n_moments: int) -> None:
         raise ValueError(
             f"n_moments must be an even integer >= 2 (the recurrence yields "
             f"two moments per iteration), got {n_moments}"
+        )
+
+
+def _check_start_storage(start_block: np.ndarray, prec: Precision) -> None:
+    """float16 pair storage is only meaningful under the fp16v profile."""
+    if start_block.dtype == np.float16 and not prec.half_vectors:
+        raise TypeError(
+            "start_block uses float16 pair storage but precision is "
+            f"{prec.name!r}; pass precision='fp16v'"
         )
 
 
@@ -127,7 +136,7 @@ def compute_eta(
     backend: KernelBackend | str = "auto",
     metrics: MetricsRegistry = NULL_METRICS,
     precision: Precision | str | None = None,
-    threads: int | None = None,
+    threads: int | str | None = None,
     simd: str | None = None,
 ) -> np.ndarray:
     """Compute the raw scalar products eta for every start vector.
@@ -163,7 +172,9 @@ def compute_eta(
         ``None`` (default) keeps the sequential kernels; any explicit
         count routes the augmented steps through the block-grid threaded
         variants, whose fp64 results are bitwise identical at every
-        thread count.  The NumPy backend accepts and ignores the knob.
+        thread count; ``'auto'`` uses every core (a serial solve is one
+        rank, see :func:`repro.dist.kpm_parallel.resolve_threads`).  The
+        NumPy backend accepts and ignores the knob.
     simd:
         Vectorized-kernel selector for the native backend
         (``None``/``'auto'``/``'on'``/``'off'``); fp64 results are
@@ -174,69 +185,38 @@ def compute_eta(
     -------
     eta:
         Complex array (R, M); ``eta[r, 2m]`` is real (stored complex).
+        The blocked engine runs on the distributed driver as a one-rank
+        world (:func:`repro.dist.kpm_parallel.solve_eta`), bitwise equal
+        to a one-rank sim or mp run.
     """
     _check_moments(n_moments)
     engine = MomentEngine(engine)
     prec = get_precision(precision)
+    if engine is MomentEngine.AUG_SPMMV:
+        # stage 2 runs on the one blocked driver, as a one-rank world
+        from repro.dist.kpm_parallel import solve_eta
+
+        return solve_eta(
+            H, scale, n_moments, start_block, backend=backend,
+            counters=counters, metrics=metrics, precision=prec,
+            threads=threads, simd=simd,
+        )[0]
+    from repro.dist.kpm_parallel import resolve_threads
+
     bk = get_backend(backend)
-    n = H.n_rows
-    start_block = check_block_vector("start_block", start_block, n)
-    if start_block.dtype == np.float16 and not prec.half_vectors:
-        raise TypeError(
-            "start_block uses float16 pair storage but precision is "
-            f"{prec.name!r}; pass precision='fp16v'"
-        )
+    start_block = check_block_vector("start_block", start_block, H.n_rows)
+    _check_start_storage(start_block, prec)
     # (n, r) complex or (n, r, 2) f16 pair storage: r is axis 1 either way
     r = start_block.shape[1]
     eta = np.empty((r, n_moments), dtype=DTYPE)
-
-    if engine in (MomentEngine.NAIVE, MomentEngine.AUG_SPMV):
-        step_fn = (
-            bk.naive_step if engine is MomentEngine.NAIVE else bk.aug_spmv_step
+    step_fn = bk.naive_step if engine is MomentEngine.NAIVE else bk.aug_spmv_step
+    plan = bk.plan(H, 1, precision=prec, threads=resolve_threads(threads, 1),
+                   simd=simd)
+    for i in range(r):
+        eta[i] = _eta_single(
+            H, scale, n_moments, start_block[:, i], bk, step_fn, plan,
+            counters, metrics, prec,
         )
-        plan = bk.plan(H, 1, precision=prec, threads=threads, simd=simd)
-        for i in range(r):
-            eta[i] = _eta_single(
-                H, scale, n_moments, start_block[:, i], bk, step_fn, plan,
-                counters, metrics, prec,
-            )
-        return eta
-
-    # --- stage 2: blocked ---------------------------------------------
-    a, b = scale.a, scale.b
-    plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-    if prec.half_vectors:
-        # Block bootstrap in half storage: the SpMMV streams the f16
-        # layout, then the one-off recombination runs in fp32 through the
-        # plan's decode scratch and is rounded back to storage.
-        if start_block.dtype == np.float16:
-            V = np.ascontiguousarray(start_block)
-        else:
-            V = prec.encode(start_block)
-        W = bk.spmmv(H, V, counters=counters, metrics=metrics)
-        Vc, Wc = plan.vc[: H.n_rows], plan.wc
-        prec.decode(V, out=Vc)
-        prec.decode(W, out=Wc)
-        np.multiply(Vc, b, out=plan.work_block)
-        Wc -= plan.work_block
-        Wc *= a
-        prec.encode(Wc, out=W)
-        eta[:, 0], eta[:, 1] = _col_dots(Vc, Wc)
-    else:
-        # nu_0 block (private copy; complex128 fp64 / complex64 fp32)
-        V = start_block.astype(prec.vector_dtype, copy=True)
-        W = bk.spmmv(H, V, counters=counters, metrics=metrics)  # nu_1 block
-        np.multiply(V, b, out=plan.work_block)
-        W -= plan.work_block
-        W *= a
-        eta[:, 0], eta[:, 1] = _col_dots(V, W)
-    for m in range(1, n_moments // 2):
-        V, W = W, V
-        eta_even, eta_odd = bk.aug_spmmv_step(
-            H, V, W, a, b, plan=plan, counters=counters, metrics=metrics
-        )
-        eta[:, 2 * m] = eta_even
-        eta[:, 2 * m + 1] = eta_odd
     return eta
 
 

@@ -16,7 +16,6 @@ the paper's Refs. [8], [22].
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,13 +153,16 @@ class KPMSolver:
         simulator) or ``'mp'`` (real worker processes over shared
         memory).  Both run the paper's data-parallel scheme: weighted
         row partition, halo exchange, one deferred global reduction —
-        and produce the serial moments to reduction-order tolerance.
+        and produce the serial moments: bit for bit on one rank (a
+        serial solve is that one-rank world), to reduction-order
+        tolerance on more.
     workers:
         Rank count for the distributed engines (ignored when
-        ``dist_engine`` is None).
+        ``dist_engine`` is None, and when ``weights`` are given).
     weights:
         Optional per-rank partition weights (heterogeneous nodes,
-        paper Section VI-B); equal split by default.
+        paper Section VI-B); equal split by default.  The world has one
+        rank per weight, supervised or not.
     overlap:
         Communication/computation overlap for the distributed engines
         (task-mode pipelining): ``'on'``/``True``, ``'off'``/``False``,
@@ -300,8 +302,9 @@ class KPMSolver:
         #: the ElasticReport of the most recent elastic solve; None
         #: until one runs (or when rebalance is off).
         self.elastic_report = None
-        #: the communicator of the most recent distributed solve
-        #: (message log, per-rank accounting); None until one runs.
+        #: the communicator of the most recent blocked solve (message
+        #: log, per-rank accounting; a one-rank SimWorld for a serial
+        #: solve); None until one runs.
         self.world = None
         #: the ResilienceReport of the most recent supervised solve;
         #: None until one runs (or when resilience is not configured).
@@ -362,102 +365,58 @@ class KPMSolver:
             self.dimension, self.n_vectors, self.vector_kind, self.seed
         )
 
-    def _serial_threads(self) -> int | None:
-        """Resolve ``'auto'`` for the serial engines: the whole machine."""
-        if self.threads == "auto":
-            return max(1, os.cpu_count() or 1)
-        return self.threads
-
-    def _make_world(self):
-        from repro.dist.comm import SimWorld
-        from repro.dist.mp import MpWorld
-
-        if self.dist_engine == "mp":
-            return MpWorld(self.workers)
-        return SimWorld(self.workers)
-
-    def _distributed_eta(self) -> np.ndarray:
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.partition import RowPartition
-
-        if self.rebalance is not None and self.dist_engine == "mp":
-            from repro.dist.elastic import elastic_eta
-
-            eta, report = elastic_eta(
-                self.H, self.scale, self.n_moments, self._start_block(),
-                n_workers=self.workers, weights=self.weights,
-                policy=self.rebalance, membership=self.membership,
-                engine="mp", backend=self.backend, counters=self.counters,
-                metrics=self.metrics, overlap=self.overlap,
-                precision=self.precision, threads=self.threads,
-                simd=self.simd,
-            )
-            self.elastic_report = report
-            self.world = None  # segments each ran their own world
-            return eta
-        align = 4 if self.rebalance is None else self.rebalance.grid
-        if self.weights is not None:
-            part = RowPartition.from_weights(
-                self.dimension, self.weights, align=align
-            )
-        else:
-            part = RowPartition.equal(self.dimension, self.workers,
-                                      align=align)
-        self.world = self._make_world()
-        return distributed_eta(
-            self.H, part, self.scale, self.n_moments, self._start_block(),
-            self.world, backend=self.backend, counters=self.counters,
-            metrics=self.metrics, overlap=self.overlap,
-            precision=self.precision, threads=self.threads, simd=self.simd,
-            eta_grid=0 if self.rebalance is None else self.rebalance.grid,
-        )
-
-    def _supervised_eta(self) -> np.ndarray:
-        from repro.resil import Supervisor
-
-        sup = Supervisor.from_config(
-            self.resilience, metrics=self.metrics, counters=self.counters,
-            seed=self.seed,
-        )
-        if self.rebalance is not None:
-            # solver-level elastic knobs override the Resilience config
-            sup.rebalance = self.rebalance
-            sup.membership = self.membership or sup.membership
-        eta = sup.run_eta(
-            self.H, self.scale, self.n_moments, self._start_block(),
-            engine=self.dist_engine or "serial", workers=self.workers,
-            weights=self.weights, backend=self.backend,
-            overlap=self.overlap, precision=self.precision,
-            threads=self.threads, simd=self.simd,
-        )
-        self.world = sup.last_world
-        self.resilience_report = sup.report
-        if sup.last_elastic_report is not None:
-            self.elastic_report = sup.last_elastic_report
-        return eta
-
     # ------------------------------------------------------------------
     def moments(self) -> np.ndarray:
         """Raw stochastic-trace Chebyshev moments mu_m ~= tr[T_m(H~)].
 
-        With ``dist_engine`` set, the moments come from the distributed
-        stage-2 driver (simulated or real processes); otherwise from the
-        serial engine selected at construction.  Identical values either
-        way, up to floating-point reduction order.  With ``resilience``
-        configured the computation runs under the fault-tolerance
-        supervisor (retries, checkpoint recovery, engine degradation).
+        The blocked engine runs through the one engine dispatch
+        (:func:`repro.dist.kpm_parallel.solve_eta`): serially as a
+        one-rank world, or on ``dist_engine``'s simulated or real ranks.
+        One rank returns the serial moments bit for bit, more ranks to
+        reduction-order tolerance.  With ``resilience`` configured the
+        computation runs under the fault-tolerance supervisor (retries,
+        checkpoint recovery, engine degradation).
         """
-        if self.resilience is not None:
-            eta = self._supervised_eta()
-        elif self.dist_engine is not None:
-            eta = self._distributed_eta()
-        else:
+        block = self._start_block()
+        if self.resilience is None and self.dist_engine is None \
+                and self.engine is not MomentEngine.AUG_SPMMV:
+            # the per-vector ablation engines (paper stages 0 and 1)
             eta = compute_eta(
-                self.H, self.scale, self.n_moments, self._start_block(),
-                self.engine, self.counters, backend=self.backend,
-                metrics=self.metrics, precision=self.precision,
-                threads=self._serial_threads(), simd=self.simd,
+                self.H, self.scale, self.n_moments, block, self.engine,
+                self.counters, backend=self.backend, metrics=self.metrics,
+                precision=self.precision, threads=self.threads,
+                simd=self.simd,
             )
+            return eta_to_moments(eta).mean(axis=0).real
+        run = dict(
+            engine=self.dist_engine or "serial", workers=self.workers,
+            weights=self.weights, backend=self.backend, overlap=self.overlap,
+            precision=self.precision, threads=self.threads, simd=self.simd,
+        )
+        if self.resilience is not None:
+            from repro.resil import Supervisor
+
+            sup = Supervisor.from_config(
+                self.resilience, metrics=self.metrics,
+                counters=self.counters, seed=self.seed,
+            )
+            if self.rebalance is not None:
+                # solver-level elastic knobs override the Resilience config
+                sup.rebalance = self.rebalance
+                sup.membership = self.membership or sup.membership
+            eta = sup.run_eta(self.H, self.scale, self.n_moments, block, **run)
+            self.world, elastic = sup.last_world, sup.last_elastic_report
+            self.resilience_report = sup.report
+        else:
+            from repro.dist.kpm_parallel import solve_eta
+
+            eta, self.world, elastic = solve_eta(
+                self.H, self.scale, self.n_moments, block,
+                rebalance=self.rebalance, membership=self.membership,
+                counters=self.counters, metrics=self.metrics, **run,
+            )
+        if elastic is not None:
+            self.elastic_report = elastic
         return eta_to_moments(eta).mean(axis=0).real
 
     def dos(
@@ -537,7 +496,7 @@ class KPMSolver:
             eta = compute_eta(
                 self.H, self.scale, self.n_moments, block,
                 self.engine, self.counters, backend=self.backend,
-                precision=self.precision, threads=self._serial_threads(),
+                precision=self.precision, threads=self.threads,
                 simd=self.simd,
             )
             mu = eta_to_moments(eta).sum(axis=0).real  # sum over orbitals

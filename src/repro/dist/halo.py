@@ -92,7 +92,11 @@ class DistributedMatrix:
 
 
 def partition_matrix(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix:
-    """Split ``A`` row-wise and derive the halo communication pattern."""
+    """Split ``A`` row-wise and derive the halo communication pattern.
+
+    A one-rank partition has no halo: its block is ``A`` itself, not a
+    copy, so any operator format (SELL-C-sigma included) runs as is.
+    """
     if A.n_rows != A.n_cols:
         raise PartitionError("distributed KPM requires a square matrix")
     if partition.n_rows != A.n_rows:
@@ -100,6 +104,10 @@ def partition_matrix(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix
             f"partition covers {partition.n_rows} rows, matrix has {A.n_rows}"
         )
     n_ranks = partition.n_ranks
+    if n_ranks == 1:
+        none = np.empty(0, dtype=np.int64)
+        block = RankBlock(0, 0, A.n_rows, A, none, none, none)
+        return DistributedMatrix(partition, [block], CommPattern(), A.n_rows)
     offsets = np.asarray(partition.offsets, dtype=np.int64)
 
     blocks: list[RankBlock] = []

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import struct
 import sys
 import time
@@ -79,23 +78,24 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, resolve_resume
-from repro.core.moments import _check_moments
+from repro.core.checkpoint import KpmCheckpoint
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import MessageLog, log_allreduce
-from repro.dist.halo import DistributedMatrix, RankBlock, partition_matrix
+from repro.dist.halo import DistributedMatrix, RankBlock
+from repro.dist.kpm_parallel import _prepare_run, resolve_threads
 from repro.dist.partition import RowPartition, grid_blocks
 from repro.dist.shm import ShmArena, ShmAttachment
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sparse.backend import KernelBackend, resolve_simd
+from repro.sparse.backend.native import fork_safe as native_fork_safe
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import _col_dots, charge_col_dots
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
 from repro.util.precision import Precision, get_precision
-from repro.util.validation import check_block_vector, check_positive
+from repro.util.validation import check_positive
 
 #: acct columns maintained by each worker (its row; no locking needed):
 #: actual halo messages/bytes it packed, actual reduction events/bytes.
@@ -525,9 +525,6 @@ def _worker(
                     if gblocks is not None:
                         for k, sl in gblocks:
                             eta[k, 0], eta[k, 1] = _col_dots(v[sl], w[sl])
-                    elif prec.is_fp64:
-                        eta[rank, 0] = np.einsum("nr,nr->r", np.conj(v), v)
-                        eta[rank, 1] = np.einsum("nr,nr->r", np.conj(w), v)
                     else:
                         eta[rank, 0], eta[rank, 1] = _col_dots(v, w)
             if cfg.reduction == "every":
@@ -791,22 +788,16 @@ def mp_eta(
 ) -> np.ndarray:
     """Multiprocess equivalent of :func:`repro.dist.kpm_parallel.distributed_eta`.
 
-    Same signature and same result (to reduction-order tolerance) with a
-    :class:`MpWorld` in place of the :class:`SimWorld`, plus the
+    Same signature, inputs validated by the same code, and the same
+    result: bitwise on one rank, and per overlap schedule bitwise the
+    simulator's on any rank count (``overlap``, ``threads``, ``simd``,
+    ``eta_grid`` and ``stop_m`` mean exactly what they mean there).  The
     fault-tolerance surface: ``checkpoint_every``/``checkpoint_path``
     enable the parent-side autosave described in the module docstring,
     ``resume_from`` continues an interrupted run (``start_block`` is then
     ignored and may be None), and ``fault_plan``/``attempt`` inject
     planned faults into the workers (``_fault`` is the legacy test-only
     ``(rank, iteration, mode)`` form of the same thing).
-
-    ``overlap`` selects the task-mode pipelined schedule (see the module
-    docstring): ``True``/``'on'``, ``False``/``'off'``, or
-    ``'auto'``/None (on when the world has more than one rank).  The
-    overlapped moments are bitwise equal to the simulator's task-mode
-    schedule; against ``overlap=False`` they agree to reduction-order
-    tolerance (the per-iteration dots are summed as interior + boundary
-    partials instead of one pass).
 
     With a live ``counters`` or ``metrics``, every worker accumulates its
     own :class:`PerfCounters` / :class:`MetricsRegistry` and ships a JSON
@@ -823,96 +814,23 @@ def mp_eta(
     whether the hook is armed here — the cadence is the workers'
     checkpoint cadence).
 
-    ``threads`` is the per-rank intra-rank kernel thread count: ``None``
-    keeps the sequential kernels, an int is used verbatim on every rank,
-    and ``'auto'`` budgets the host's cores across the ranks
-    (``max(1, cores // n_ranks)`` — the paper's one-process-per-socket
-    hybrid, scaled to this machine).  fp64 moments are bitwise identical
-    for every setting.  ``simd`` selects the native backend's vectorized
-    kernels on every rank (``None``/``'auto'``/``'on'``/``'off'``) —
-    also bitwise invisible in fp64.
-
-    ``eta_grid``/``stop_m`` mirror :func:`distributed_eta`: a positive
-    ``eta_grid`` accumulates eta partials per fixed global block of that
-    many rows (grid-aligned partitions required; moments then bitwise
-    independent of the partition and world size), and ``stop_m`` halts
-    the recurrence at that iteration, returning a segment whose
-    uncomputed columns are zero — the elastic driver's pause point.
+    Workers start with the world's ``start_method`` — except that a
+    ``fork`` world whose workers would run threaded native kernels
+    after this process has run one itself forks them from a clean
+    ``forkserver`` instead (libgomp does not survive a fork).  Like
+    ``spawn``, that re-imports an unguarded ``__main__`` script in the
+    workers.
     """
-    _check_moments(n_moments)
-    from repro.dist.overlap import resolve_overlap
-
-    overlap = resolve_overlap(overlap, world.n_ranks)
-    if reduction not in ("end", "every"):
-        raise ValueError(f"reduction must be 'end' or 'every', got {reduction!r}")
-    if checkpoint_every and checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
     if fault_plan is None:
         fault_plan = _legacy_fault_plan(_fault)
-    if isinstance(A, DistributedMatrix):
-        dist = A
-    else:
-        if partition is None:
-            raise ValueError("partition is required with a global matrix")
-        dist = partition_matrix(A, partition)
-    if world.n_ranks != dist.n_ranks:
-        raise SimulationError(
-            f"world has {world.n_ranks} ranks, partition has {dist.n_ranks}"
-        )
+    dist, prec, overlap, grid, half, r, first_m, ck, base_eta, start_block = \
+        _prepare_run(A, partition, scale, n_moments, start_block, world,
+                     reduction, overlap, checkpoint_every, checkpoint_path,
+                     resume_from, precision, eta_grid, stop_m, metrics)
     n = dist.n_global
     timeouts = world.timeouts
-    prec = get_precision(precision)
-
-    grid = int(eta_grid or 0)
-    half = n_moments // 2 if stop_m is None else int(stop_m)
-    if stop_m is not None and not 1 <= half <= n_moments // 2:
-        raise SimulationError(
-            f"stop_m must lie in [1, {n_moments // 2}], got {stop_m}"
-        )
-    if grid:
-        if grid < 0:
-            raise SimulationError(f"eta_grid must be non-negative, got {grid}")
-        if reduction != "end":
-            raise SimulationError(
-                "eta_grid requires reduction='end' (grid partials are "
-                "reduced once, after the loop)"
-            )
-        if prec.half_vectors:
-            raise SimulationError(
-                f"eta_grid is not supported by the {prec.name} profile "
-                "(half-precision vectors)"
-            )
-        for blk in dist.blocks:
-            if blk.row_start % grid:
-                raise SimulationError(
-                    f"rank {blk.rank} starts at row {blk.row_start}, not "
-                    f"aligned to the eta grid of {grid} rows — build the "
-                    f"partition with align={grid}"
-                )
-
-    ck = None
-    if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, scale.a, scale.b, metrics,
-                            prec, eta_grid=grid)
-        if ck.v.shape[0] != n:
-            raise SimulationError(
-                f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
-            )
-        r = ck.v.shape[1]
-        first_m = ck.next_m
-        if first_m > half:
-            raise SimulationError(
-                f"checkpoint resumes at m={first_m}, beyond stop_m={half}"
-            )
-        base_eta = ck.eta[:, : 2 * first_m].astype(DTYPE, copy=True)
-    else:
-        start_block = check_block_vector("start_block", start_block, n)
-        r = start_block.shape[1]
-        first_m = 1
-        base_eta = None
 
     names = _backend_names(world, backend)
-    ctx = multiprocessing.get_context(world.start_method)
 
     send_edges: list[list[tuple[int, np.ndarray]]] = [
         [] for _ in range(dist.n_ranks)
@@ -921,14 +839,17 @@ def mp_eta(
         if rows.size:
             send_edges[p].append((q, rows))
 
-    if threads == "auto":
-        # Budget the host's cores across the ranks: the paper's hybrid
-        # MPI+OpenMP shape (one process per socket, threads inside).
-        resolved_threads = max(1, (os.cpu_count() or 1) // world.n_ranks)
-    elif threads is None:
-        resolved_threads = None
-    else:
-        resolved_threads = max(1, int(threads))
+    resolved_threads = resolve_threads(threads, world.n_ranks)
+    ctx = multiprocessing.get_context(world.start_method)
+    if world.start_method == "fork" and (resolved_threads or 1) > 1 \
+            and not native_fork_safe():
+        # libgomp is not fork-safe: a forked child that opens a parallel
+        # region waits forever for the parent's OpenMP team threads,
+        # which did not survive the fork.  Fork the workers from a clean
+        # server process instead (started once, with this module loaded).
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload([__name__])
+        metrics.count("mp.forkserver_after_openmp")
 
     want_obs = bool(counters.enabled or metrics.enabled)
     cfg = _RunConfig(

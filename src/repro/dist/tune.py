@@ -19,8 +19,9 @@ pre-ranked by an analytic cost model (Eq. 5-7 traffic over the
 effective parallel bandwidth), the most promising candidates are
 measured for real, and the best measured point is refined by greedy
 single-knob mutation until no neighbor improves.  Measurements use the
-same engines production runs use — serial ``compute_eta`` or the mp
-engine — so the score *is* the quantity being optimized.
+same engine dispatch production runs use
+(:func:`repro.dist.kpm_parallel.solve_eta`), so the score *is* the
+quantity being optimized.
 
 The profile store is a small JSON document; its default location is
 ``$REPRO_TUNE_PROFILE`` or ``~/.cache/repro/tuned.json``.
@@ -362,21 +363,22 @@ def measure(
 ) -> float:
     """Wall-time of one probe run of ``cfg`` (best of ``repeats``).
 
-    Uses the engines production uses: serial :func:`compute_eta` for
-    ``workers == 1``, :func:`distributed_eta` on the configured world
-    otherwise.  SELL configs pay their format conversion outside the
-    timed region, exactly as a long production run amortizes it.
+    Uses the engine dispatch production uses
+    (:func:`repro.dist.kpm_parallel.solve_eta`): the serial engine for
+    ``workers == 1``, the configured world otherwise.  SELL configs pay
+    their format conversion outside the timed region, exactly as a long
+    production run amortizes it.
     """
     from repro.core.scaling import lanczos_scale
     from repro.core.stochastic import make_block_vector
 
     scale = lanczos_scale(H, seed=seed)
     block = make_block_vector(H.n_rows, cfg.r, "phase", seed)
-    A, part = _prepare_probe(H, cfg)
+    A = _prepare_probe(H, cfg)
     best = float("inf")
     for _ in range(max(1, int(repeats))):
         t0 = time.perf_counter()
-        _run_probe(A, part, cfg, scale, n_moments, block)
+        _run_probe(A, cfg, scale, n_moments, block)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -386,17 +388,12 @@ def _prepare_probe(H, cfg):
     (for distributed configs) partitioning — one-time costs that a long
     production run amortizes."""
     if cfg.workers == 1:
-        return _build_operator(H, cfg), None
+        return _build_operator(H, cfg)
     from repro.dist.halo import partition_matrix
-    from repro.dist.partition import RowPartition
+    from repro.dist.kpm_parallel import rank_partition
 
-    if cfg.weights is not None:
-        part = RowPartition.from_weights(
-            H.n_rows, list(cfg.weights), align=4
-        )
-    else:
-        part = RowPartition.equal(H.n_rows, cfg.workers, align=4)
-    A = partition_matrix(H, part)
+    A = partition_matrix(H, rank_partition(H.n_rows, cfg.workers,
+                                           cfg.weights))
     if cfg.fmt == "sell" and cfg.overlap != "on":
         # Per-rank SELL: each rank's rectangular local block (local
         # rows x local+halo columns) is sorted and chunked
@@ -410,27 +407,15 @@ def _prepare_probe(H, cfg):
             blk.matrix = SellMatrix(
                 blk.matrix, chunk_height=cfg.chunk, sigma=cfg.sigma
             )
-    return A, part
+    return A
 
 
-def _run_probe(A, part, cfg, scale, n_moments, block) -> None:
-    if cfg.workers == 1:
-        from repro.core.moments import compute_eta
+def _run_probe(A, cfg, scale, n_moments, block) -> None:
+    from repro.dist.kpm_parallel import solve_eta
 
-        compute_eta(
-            A, scale, n_moments, block, "aug_spmmv",
-            backend=cfg.backend, precision=cfg.precision,
-            threads=cfg.threads, simd=cfg.simd,
-        )
-        return
-    from repro.dist.comm import SimWorld
-    from repro.dist.kpm_parallel import distributed_eta
-    from repro.dist.mp import MpWorld
-
-    world = (MpWorld(part.n_ranks) if cfg.engine == "mp"
-             else SimWorld(part.n_ranks))
-    distributed_eta(
-        A, part, scale, n_moments, block, world,
+    solve_eta(
+        A, scale, n_moments, block,
+        engine="serial" if cfg.workers == 1 else cfg.engine,
         backend=cfg.backend, overlap=(cfg.overlap == "on"),
         precision=cfg.precision, threads=cfg.threads, simd=cfg.simd,
     )

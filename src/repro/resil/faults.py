@@ -175,6 +175,7 @@ class FaultInjector:
         attempt: int = 1,
         in_process: bool = False,
     ) -> None:
+        self.plan = plan
         self.rank = int(rank)
         self.attempt = int(attempt)
         self.in_process = bool(in_process)

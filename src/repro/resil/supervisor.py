@@ -25,7 +25,6 @@ recurrence state and the moment prefix.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import time
@@ -34,10 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, _npz_path, checkpointed_eta
+from repro.core.checkpoint import KpmCheckpoint, _npz_path
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import (
-    FaultInjector,
     FaultPlan,
     as_fault_plan,
     corrupt_checkpoint_file,
@@ -55,8 +53,8 @@ from repro.util.errors import (
 
 #: Degradation ladders: the engines tried, in order, starting from the
 #: one the caller asked for.  ``sim`` replays the identical data-parallel
-#: schedule sequentially (no processes to die), ``serial`` drops the
-#: partitioning altogether.
+#: schedule sequentially (no processes to die), ``serial`` runs the same
+#: loop on a one-rank world.
 ENGINE_LADDERS = {
     "mp": ("mp", "sim", "serial"),
     "sim": ("sim", "serial"),
@@ -295,10 +293,12 @@ class Supervisor:
                 f"engine must be one of {sorted(ENGINE_LADDERS)}, got {engine!r}"
             )
         ladder = ENGINE_LADDERS[engine] if self.degrade else (engine,)
+        from repro.dist.kpm_parallel import solve_eta
 
+        every = self.checkpoint_every
         ckpt_path = self.checkpoint_path
         own_dir: Path | None = None
-        if self.checkpoint_every > 0 and ckpt_path is None:
+        if every > 0 and ckpt_path is None:
             own_dir = Path(tempfile.mkdtemp(prefix="repro-resil-"))
             ckpt_path = own_dir / "attempt.npz"
 
@@ -326,12 +326,27 @@ class Supervisor:
                             attempt=attempt,
                             resumed_from=(resume.next_m if resume else None),
                         ):
-                            eta = self._run_once(
-                                eng, backend_cur, resume, attempt, ckpt_path,
-                                H, scale, n_moments, start_block,
-                                workers, weights, reduction, overlap,
-                                precision, threads, simd, progress,
-                                progress_every,
+                            # Under a rebalance policy the mp rung is the
+                            # elastic driver (worker deaths re-partition
+                            # inside the attempt) and the sim and serial
+                            # rungs replay its grid-eta reduction, so a
+                            # degradation keeps the fp64 moments bitwise.
+                            eta, self.last_world, elastic = solve_eta(
+                                H, scale, n_moments, start_block, engine=eng,
+                                workers=workers, weights=weights,
+                                rebalance=self.rebalance,
+                                membership=self.membership,
+                                mp_timeouts=self.mp_timeouts,
+                                attempt_deadline=self.policy.attempt_deadline,
+                                reduction=reduction, backend=backend_cur,
+                                counters=self.counters, metrics=self.metrics,
+                                overlap=overlap, checkpoint_every=every,
+                                checkpoint_path=ckpt_path if every else None,
+                                resume_from=resume,
+                                fault_plan=self.fault_plan, attempt=attempt,
+                                precision=precision, threads=threads,
+                                simd=simd, progress=progress,
+                                progress_every=progress_every,
                             )
                     except Exception as exc:  # noqa: BLE001 - classified below
                         last_exc = exc
@@ -355,6 +370,13 @@ class Supervisor:
                             cls_name, backend_cur, detail
                         )
                         continue
+                    if elastic is not None:
+                        self.last_elastic_report = elastic
+                        rep = self.report
+                        rep.elastic_segments += len(elastic.segments)
+                        rep.rebalances += elastic.rebalances
+                        rep.membership_joins += elastic.joins
+                        rep.membership_leaves += elastic.leaves
                     self.report.final_engine = eng
                     self.report.final_backend = self._backend_name(backend_cur)
                     return eta
@@ -419,116 +441,3 @@ class Supervisor:
         self.metrics.count("resil.resumes")
         self.metrics.gauge("resil.resume_m", ck.next_m)
         return ck
-
-    def _run_once(
-        self, eng: str, backend, resume, attempt: int, ckpt_path,
-        H, scale, n_moments, start_block, workers, weights, reduction,
-        overlap=False, precision=None, threads=None, simd=None,
-        progress=None, progress_every=0,
-    ) -> np.ndarray:
-        every = self.checkpoint_every
-        path = ckpt_path if every > 0 else None
-        if self.rebalance is not None:
-            return self._run_elastic(
-                eng, backend, resume, attempt, path, H, scale, n_moments,
-                start_block, workers, weights, reduction, overlap,
-                precision, threads, simd,
-            )
-        if eng == "serial":
-            inj = None
-            if self.fault_plan:
-                inj = FaultInjector(
-                    self.fault_plan, rank=0, attempt=attempt, in_process=True
-                )
-            if threads == "auto":
-                # A degraded serial rung inherits the whole machine.
-                threads = max(1, os.cpu_count() or 1)
-            return checkpointed_eta(
-                H, scale, n_moments, start_block,
-                checkpoint_every=every, checkpoint_path=path,
-                resume_from=resume, counters=self.counters,
-                backend=backend, metrics=self.metrics, fault=inj,
-                precision=precision, threads=threads, simd=simd,
-                progress=progress, progress_every=progress_every,
-            )
-
-        from repro.dist.comm import SimWorld
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.mp import MpTimeouts, MpWorld
-        from repro.dist.partition import RowPartition
-
-        if weights is not None:
-            part = RowPartition.from_weights(H.n_rows, weights, align=4)
-        else:
-            part = RowPartition.equal(H.n_rows, workers, align=4)
-        if eng == "mp":
-            timeouts = self.mp_timeouts
-            if timeouts is None and self.policy.attempt_deadline is not None:
-                timeouts = MpTimeouts(run=self.policy.attempt_deadline)
-            world = MpWorld(part.n_ranks, timeouts=timeouts)
-        else:
-            world = SimWorld(part.n_ranks)
-        self.last_world = world
-        return distributed_eta(
-            H, part, scale, n_moments, start_block, world,
-            reduction=reduction, backend=backend, counters=self.counters,
-            metrics=self.metrics, overlap=overlap, checkpoint_every=every,
-            checkpoint_path=path, resume_from=resume,
-            fault_plan=self.fault_plan, attempt=attempt,
-            precision=precision, threads=threads, simd=simd,
-            progress=progress, progress_every=progress_every,
-        )
-
-    def _run_elastic(
-        self, eng: str, backend, resume, attempt: int, path,
-        H, scale, n_moments, start_block, workers, weights, reduction,
-        overlap, precision, threads, simd,
-    ) -> np.ndarray:
-        """One attempt under a live :class:`RebalancePolicy`.
-
-        The mp rung runs the full elastic driver — worker deaths
-        re-partition onto the survivors *inside* the attempt, so the
-        engine ladder only engages when elasticity itself gives up.  The
-        sim and serial rungs replay the identical grid-eta reduction
-        (serial as a one-rank sim world), so a degradation mid-ladder
-        still returns bitwise-identical fp64 moments.
-        """
-        from repro.dist.comm import SimWorld
-        from repro.dist.elastic import elastic_eta
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.partition import RowPartition
-
-        pol = self.rebalance
-        if eng == "mp":
-            eta, rep = elastic_eta(
-                H, scale, n_moments, start_block,
-                n_workers=workers, weights=weights, policy=pol,
-                membership=self.membership, engine="mp", backend=backend,
-                counters=self.counters, metrics=self.metrics,
-                overlap=overlap, fault_plan=self.fault_plan,
-                attempt=attempt, precision=precision, threads=threads,
-                simd=simd, checkpoint_path=path, resume_from=resume,
-            )
-            self.last_elastic_report = rep
-            self.report.elastic_segments += len(rep.segments)
-            self.report.rebalances += rep.rebalances
-            self.report.membership_joins += rep.joins
-            self.report.membership_leaves += rep.leaves
-            return eta
-        n_ranks = 1 if eng == "serial" else workers
-        if weights is not None and eng != "serial":
-            part = RowPartition.from_weights(H.n_rows, weights, align=pol.grid)
-        else:
-            part = RowPartition.equal(H.n_rows, n_ranks, align=pol.grid)
-        world = SimWorld(part.n_ranks)
-        self.last_world = world
-        every = self.checkpoint_every
-        return distributed_eta(
-            H, part, scale, n_moments, start_block, world,
-            reduction=reduction, backend=backend, counters=self.counters,
-            metrics=self.metrics, overlap=overlap, checkpoint_every=every,
-            checkpoint_path=path, resume_from=resume,
-            fault_plan=self.fault_plan, attempt=attempt,
-            precision=precision, threads=threads, simd=simd,
-            eta_grid=pol.grid,
-        )

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.checkpoint import checkpointed_eta
 from repro.core.moments import eta_to_moments
 from repro.core.stochastic import make_block_vector, unit_block_vector
 from repro.obs import NULL_METRICS
@@ -64,8 +63,9 @@ class Batch:
 
     group_key: str
     items: list[BatchItem] = field(default_factory=list)
-    #: the communicator of the batch's distributed solve (leak checks,
-    #: per-rank accounting); None for serial batches
+    #: the communicator of the batch's solve (leak checks, per-rank
+    #: accounting; a one-rank SimWorld for serial batches); None after
+    #: an elastic solve
     world: object = None
     #: the :class:`~repro.dist.elastic.ElasticReport` of an elastic
     #: batch solve (rebalance enabled); None otherwise
@@ -153,6 +153,12 @@ def _run_eta(H, scale, n_moments, block, *, engine, backend, workers,
     Returns ``(eta, resilience_report, world, elastic_report)`` — the
     last two are None on paths that do not produce them.
     """
+    run = dict(
+        engine=engine or "serial", workers=workers, weights=weights,
+        backend=backend, overlap=overlap, precision=precision,
+        threads=threads, simd=simd, progress=progress,
+        progress_every=progress_every,
+    )
     if resilience is not None:
         from repro.resil import Supervisor
 
@@ -166,58 +172,18 @@ def _run_eta(H, scale, n_moments, block, *, engine, backend, workers,
         if rebalance is not None:
             sup.rebalance = rebalance
             sup.membership = membership or sup.membership
-        eta = sup.run_eta(
-            H, scale, n_moments, block, engine=engine or "serial",
-            workers=workers, weights=weights, backend=backend,
-            overlap=overlap, precision=precision, threads=threads,
-            simd=simd, progress=progress, progress_every=progress_every,
-        )
+        eta = sup.run_eta(H, scale, n_moments, block, **run)
         return eta, sup.report, sup.last_world, sup.last_elastic_report
-    if engine == "mp" and rebalance is not None:
-        from repro.dist.elastic import elastic_eta
+    from repro.dist.kpm_parallel import solve_eta
 
-        eta, erep = elastic_eta(
-            H, scale, n_moments, block, n_workers=workers, weights=weights,
-            policy=rebalance, membership=membership, engine="mp",
-            backend=backend, counters=counters, metrics=metrics,
-            overlap=overlap, precision=precision, threads=threads,
-            simd=simd,
-        )
-        return eta, None, None, erep
-    if engine in ("sim", "mp"):
-        from repro.dist.comm import SimWorld
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.mp import MpWorld
-        from repro.dist.partition import RowPartition
-
-        # An elastic server runs its sim batches in grid-eta mode so a
-        # later switch to mp (or an elastic mp batch of the same
-        # problem) returns byte-identical moments.
-        align = 4 if rebalance is None else rebalance.grid
-        if weights is not None:
-            part = RowPartition.from_weights(H.n_rows, weights, align=align)
-        else:
-            part = RowPartition.equal(H.n_rows, workers, align=align)
-        world = MpWorld(part.n_ranks) if engine == "mp" \
-            else SimWorld(part.n_ranks)
-        eta = distributed_eta(
-            H, part, scale, n_moments, block, world, backend=backend,
-            counters=counters, metrics=metrics, overlap=overlap,
-            precision=precision, threads=threads, simd=simd,
-            progress=progress, progress_every=progress_every,
-            eta_grid=0 if rebalance is None else rebalance.grid,
-        )
-        return eta, None, world, None
-    if threads == "auto":
-        import os
-
-        threads = max(1, os.cpu_count() or 1)
-    eta = checkpointed_eta(
-        H, scale, n_moments, block, counters=counters, backend=backend,
-        metrics=metrics, precision=precision, threads=threads, simd=simd,
-        progress=progress, progress_every=progress_every,
+    # An elastic server runs its sim and serial batches in grid-eta mode
+    # too, so a later switch to mp (or an elastic mp batch of the same
+    # problem) returns byte-identical moments.
+    eta, world, erep = solve_eta(
+        H, scale, n_moments, block, rebalance=rebalance,
+        membership=membership, counters=counters, metrics=metrics, **run,
     )
-    return eta, None, None, None
+    return eta, None, world, erep
 
 
 def execute_batch(

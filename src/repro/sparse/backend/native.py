@@ -434,6 +434,28 @@ def native_error() -> str | None:
     return _load_error
 
 
+#: Set once this process has run a native kernel on more than one
+#: thread.  libgomp keeps that OpenMP team alive and is not fork-safe: a
+#: forked child that opens a parallel region of its own waits forever
+#: for team threads that did not survive the fork.
+_threaded = False
+
+
+def note_threads(threads: int | None) -> int | None:
+    """Pass a kernel call's thread count through, remembering whether
+    it opens a multi-thread region (see :func:`fork_safe`)."""
+    global _threaded
+    if threads is not None and threads > 1:
+        _threaded = True
+    return threads
+
+
+def fork_safe() -> bool:
+    """Whether a forked child of this process may run threaded kernels:
+    False once the process itself has run one on more than one thread."""
+    return not _threaded
+
+
 # ---------------------------------------------------------------------
 # array marshalling
 # ---------------------------------------------------------------------

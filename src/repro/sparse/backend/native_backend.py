@@ -34,6 +34,7 @@ from repro.sparse.backend.native import (
     _pidx,
     _pvec,
     load_library,
+    note_threads,
     simd_available,
     simd_f16c_available,
 )
@@ -316,7 +317,7 @@ class NativeBackend(KernelBackend):
         else:
             ee = np.empty(1, dtype=np.float64)
             eo = np.empty(1, dtype=DTYPE)
-        threads = plan.threads if plan is not None else None
+        threads = note_threads(plan.threads if plan is not None else None)
         vs = _simd_suffix(plan.simd if plan is not None else None, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmv", counters=counters, **meta):
@@ -373,7 +374,7 @@ class NativeBackend(KernelBackend):
         else:
             ee = np.empty(r, dtype=np.float64)
             eo = np.empty(r, dtype=DTYPE)
-        threads = plan.threads if plan is not None else None
+        threads = note_threads(plan.threads if plan is not None else None)
         vs = _simd_suffix(plan.simd if plan is not None else None, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmmv", counters=counters, **meta):
@@ -434,7 +435,7 @@ class NativeBackend(KernelBackend):
         _check_same_storage(v, w)
         prec = precision_of(v)
         ee, eo = plan.ee_interior[:1], plan.eo_interior[:1]
-        threads = plan.threads
+        threads = note_threads(plan.threads)
         vs = _simd_suffix(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmv_int", counters=counters, **meta):
@@ -467,7 +468,7 @@ class NativeBackend(KernelBackend):
         _check_same_storage(v, w)
         prec = precision_of(v)
         ee, eo = plan.ee_boundary[:1], plan.eo_boundary[:1]
-        threads = plan.threads
+        threads = note_threads(plan.threads)
         vs = _simd_suffix(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmv_bnd", counters=counters, **meta):
@@ -501,7 +502,7 @@ class NativeBackend(KernelBackend):
         prec = precision_of(V)
         r = V.shape[1]
         ee, eo = plan.ee_interior, plan.eo_interior
-        threads = plan.threads
+        threads = note_threads(plan.threads)
         vs = _simd_suffix(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmmv_int", counters=counters, **meta):
@@ -535,7 +536,7 @@ class NativeBackend(KernelBackend):
         prec = precision_of(V)
         r = V.shape[1]
         ee, eo = plan.ee_boundary, plan.eo_boundary
-        threads = plan.threads
+        threads = note_threads(plan.threads)
         vs = _simd_suffix(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmmv_bnd", counters=counters, **meta):

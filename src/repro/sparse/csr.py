@@ -85,6 +85,14 @@ class CSRMatrix:
         if validate:
             self._validate()
 
+    def __getstate__(self) -> dict:
+        # The native backend caches ctypes pointers into this object's
+        # arrays; they are meaningless in another process (and cannot be
+        # pickled), so a pickled copy — e.g. an mp worker's operator
+        # under a non-fork start method — rebuilds them on first use.
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_native")}
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

@@ -148,6 +148,14 @@ class SellMatrix:
         self.inv_perm[perm] = np.arange(n_padded)
 
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # The native backend caches ctypes pointers into this object's
+        # arrays; they are meaningless in another process (and cannot be
+        # pickled), so a pickled copy — e.g. an mp worker's operator
+        # under a non-fork start method — rebuilds them on first use.
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_native")}
+
     @property
     def n_rows(self) -> int:
         return self.shape[0]

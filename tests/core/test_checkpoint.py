@@ -32,7 +32,7 @@ class TestEquivalence:
     def test_no_checkpointing_matches_engine(self, system):
         h, scale, blk, ref = system
         eta = checkpointed_eta(h, scale, 32, blk)
-        assert np.allclose(eta, ref, atol=0)
+        assert np.array_equal(eta, ref)
 
     def test_resume_is_bit_exact(self, system, tmp_path):
         h, scale, blk, ref = system
@@ -42,13 +42,13 @@ class TestEquivalence:
         full = checkpointed_eta(
             h, scale, 32, blk, checkpoint_every=5, checkpoint_path=ck_path
         )
-        assert np.allclose(full, ref, atol=0)
+        assert np.array_equal(full, ref)
         # resume from the saved state and finish again
         resumed = checkpointed_eta(
             h, scale, 32, blk, resume_from=ck_path
         )
         assert np.array_equal(resumed[:, -2:], full[:, -2:])
-        assert np.allclose(resumed, ref, atol=0)
+        assert np.array_equal(resumed, ref)
 
     def test_ckpt_suffix_round_trip(self, system, tmp_path):
         """Regression: save('state.ckpt') must be loadable by the same name.
